@@ -103,6 +103,17 @@ telemetry_smoke() {
         --churn-seed 7 --metrics-out "$out"
     cargo run -q --release --offline -p clustream-cli --bin clustream -- \
         report "$out"
+    # A recorder keeps mega in its analytic replay gear, which must book
+    # the fast engine's metrics exactly (timing spans aside) and print
+    # the summary of a bare mega call.
+    local run=(cargo run -q --release --offline -p clustream-cli --bin clustream --
+        simulate --scheme multitree --n 20000 --d 3 --track 256)
+    "${run[@]}" --engine fast --metrics-out target/ci-fast.jsonl >/dev/null
+    "${run[@]}" --engine mega --metrics-out target/ci-mega.jsonl >target/ci-mega-metrics.txt
+    "${run[@]}" --engine mega >target/ci-mega-bare.txt
+    diff <(grep -v '"kind":"span"' target/ci-fast.jsonl) \
+        <(grep -v '"kind":"span"' target/ci-mega.jsonl)
+    diff <(grep -v '^metrics ' target/ci-mega-metrics.txt) target/ci-mega-bare.txt
 }
 
 recovery_smoke() {

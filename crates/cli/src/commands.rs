@@ -261,9 +261,12 @@ fn run_scheme(scheme: &mut dyn Scheme, track: u64, traced: bool) -> Result<RunRe
 
 /// `clustream simulate`.
 pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
-    // Validate the scheme parameters once up front, so the factory used
-    // by the checked engine cannot fail.
-    let _ = build_scheme(args)?;
+    // Build the scheme once up front: the plain engines run it, and a
+    // successful build proves the factory the checked runtimes call
+    // cannot fail. Every path takes it or drops it before its run, so
+    // no run holds an unused copy and each run frees it when it ends.
+    let mut scheme = Some(build_scheme(args)?);
+    const BUILT: &str = "built above and taken once";
     let track = args.usize_or("track", 48)? as u64;
     let runtime = parse_runtime(args)?;
     let engine = parse_engine(args)?;
@@ -366,11 +369,11 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
             match engine {
                 EngineChoice::Reference => (
                     "reference".to_string(),
-                    Simulator::run(build_scheme(args)?.as_mut(), &cfg)?,
+                    Simulator::run(scheme.take().expect(BUILT).as_mut(), &cfg)?,
                 ),
                 EngineChoice::Fast => (
                     "fast".to_string(),
-                    FastSimulator::run(build_scheme(args)?.as_mut(), &cfg)?,
+                    FastSimulator::run(scheme.take().expect(BUILT).as_mut(), &cfg)?,
                 ),
                 EngineChoice::Mega => (
                     if shards > 1 {
@@ -378,9 +381,10 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
                     } else {
                         "mega".to_string()
                     },
-                    MegaSimulator::run_sharded(build_scheme(args)?.as_mut(), &cfg, shards)?,
+                    MegaSimulator::run_sharded(scheme.take().expect(BUILT).as_mut(), &cfg, shards)?,
                 ),
                 EngineChoice::Checked => {
+                    drop(scheme.take());
                     let r = match DiffHarness::check(
                         || build_scheme(args).expect("validated above"),
                         &cfg,
@@ -421,6 +425,7 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
             let r = if recovery.mode.enabled() {
                 // The recovery layer repairs the tree online — it needs
                 // the self-healing wrapper, not the static scheme.
+                drop(scheme.take());
                 let mut scheme = SelfHealingMultiTree::new(
                     args.required_usize("n")?,
                     args.usize_or("d", 2)?,
@@ -429,7 +434,7 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
                 )?;
                 engine.run(&mut scheme, &des_cfg)?
             } else {
-                engine.run(build_scheme(args)?.as_mut(), &des_cfg)?
+                engine.run(scheme.take().expect(BUILT).as_mut(), &des_cfg)?
             };
             des_stats = Some(*engine.stats());
             let mut label = if recovery.mode.enabled() {
@@ -455,6 +460,7 @@ pub fn simulate(args: &ArgMap) -> Result<String, CliError> {
                         .into(),
                 ));
             }
+            drop(scheme.take());
             let r = match DesOracle::check_with_queue(
                 || build_scheme(args).expect("validated above"),
                 &cfg,

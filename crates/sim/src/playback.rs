@@ -83,19 +83,13 @@ impl ArrivalTable {
         self.slots[node.index()].iter().all(|&s| s != NEVER)
     }
 
-    /// Analyse playback for `node` over the tracked window.
+    /// Analyse playback for `node` over the tracked window, in O(track)
+    /// whatever the arrival slots (see `peak_buffer`).
     ///
     /// Errors with [`CoreError::Hiccup`] if some tracked packet never
     /// arrived (no finite playback start exists within the horizon).
     pub fn analyze(&self, node: NodeId) -> Result<PlaybackAnalysis, CoreError> {
         let row = &self.slots[node.index()];
-        if row.is_empty() {
-            return Ok(PlaybackAnalysis {
-                node,
-                playback_delay: 0,
-                max_buffer: 0,
-            });
-        }
         // a(i) = max_j (usable(j) − j)
         let mut a: u64 = 0;
         for (j, &s) in row.iter().enumerate() {
@@ -108,40 +102,10 @@ impl ArrivalTable {
             }
             a = a.max(s.saturating_sub(j as u64));
         }
-
-        // Buffer high-water mark with playback start a. A packet occupies
-        // the buffer from the slot it is *received* (usable slot − 1) until
-        // it is played; the peak is measured after the slot's reception and
-        // before its playback, matching the paper's §2.3 example where node
-        // 1 receives packets 0, 1, 2 in slots 0, 2, 1 and needs a buffer of
-        // 3. Occupancy before playing in slot t:
-        //   B(t) = #{j : recv(j) ≤ t} − #{j : played strictly before t}
-        //        = #{j : usable(j) ≤ t + 1} − max(0, t − a).
-        // The schedules are periodic, so the maximum is attained inside the
-        // tracked window.
-        let mut by_recv: Vec<u64> = row.iter().map(|&u| u.saturating_sub(1)).collect();
-        by_recv.sort_unstable();
-        let last = *by_recv.last().expect("row nonempty");
-        let mut arrived = 0usize;
-        let mut idx = 0usize;
-        let mut max_buf = 0usize;
-        for t in 0..=last {
-            while idx < by_recv.len() && by_recv[idx] <= t {
-                arrived += 1;
-                idx += 1;
-            }
-            // Packets played strictly before slot t: packets 0..(t − a).
-            let played = if t > a {
-                ((t - a).min(self.track_packets)) as usize
-            } else {
-                0
-            };
-            max_buf = max_buf.max(arrived - played.min(arrived));
-        }
         Ok(PlaybackAnalysis {
             node,
             playback_delay: a,
-            max_buffer: max_buf,
+            max_buffer: peak_buffer(row, a),
         })
     }
 
@@ -166,47 +130,11 @@ impl ArrivalTable {
                 a = a.max(s.saturating_sub(j as u64));
             }
         }
-
-        // Occupancy before playing in slot t, over arrived packets only:
-        //   B(t) = #{arrived j : recv(j) ≤ t} − #{arrived j : j < t − a}.
-        // arrived_below[k] = #{arrived j : j < k} turns the second term
-        // into a lookup; the first term sweeps sorted receive slots as in
-        // `analyze`.
-        let mut arrived_below = Vec::with_capacity(row.len() + 1);
-        arrived_below.push(0usize);
-        for &s in row.iter() {
-            arrived_below.push(arrived_below.last().unwrap() + usize::from(s != NEVER));
-        }
-        let mut by_recv: Vec<u64> = row
-            .iter()
-            .filter(|&&s| s != NEVER)
-            .map(|&u| u.saturating_sub(1))
-            .collect();
-        by_recv.sort_unstable();
-        let mut max_buf = 0usize;
-        if let Some(&last) = by_recv.last() {
-            let mut arrived = 0usize;
-            let mut idx = 0usize;
-            for t in 0..=last {
-                while idx < by_recv.len() && by_recv[idx] <= t {
-                    arrived += 1;
-                    idx += 1;
-                }
-                let played_through = if t > a {
-                    ((t - a).min(self.track_packets)) as usize
-                } else {
-                    0
-                };
-                let played = arrived_below[played_through.min(row.len())];
-                max_buf = max_buf.max(arrived - played.min(arrived));
-            }
-        }
-
         crate::faults::LossyPlayback {
             node,
             missing,
             playback_delay: a,
-            max_buffer: max_buf,
+            max_buffer: peak_buffer(row, a),
         }
     }
 
@@ -229,6 +157,48 @@ impl ArrivalTable {
         };
         a(&row[..half]) == a(row)
     }
+}
+
+/// Buffer high-water mark of `row` (usable slots, [`NEVER`] = missing)
+/// when playback starts at `a ≥ max_j(usable(j) − j)` over the arrived
+/// packets.
+///
+/// A packet occupies the buffer from the slot it is *received* (usable
+/// slot − 1) until it is played; the peak is measured after the slot's
+/// reception and before its playback, matching the paper's §2.3 example
+/// where node 1 receives packets 0, 1, 2 in slots 0, 2, 1 and needs a
+/// buffer of 3. Occupancy before playing in slot t, over arrived packets:
+///
+/// ```text
+/// B(t) = #{j : recv(j) ≤ t} − #{j : j < t − a}
+/// ```
+///
+/// which on a loss-free row is `#{j : usable(j) ≤ t + 1} − min(t − a,
+/// track)` for `t > a`. Packet `j` is usable by `a + j`, so it is received
+/// by `max(a + j − 1, 0)`: receive slots after `a` lie in `(a, a + track)`,
+/// and for `t ≤ a` nothing has been played yet, so occupancy only grows
+/// up to `B(a)`. Counting receive slots into that window and sweeping it
+/// once gives the maximum in O(track), whatever the arrival slots are.
+fn peak_buffer(row: &[u64], a: u64) -> usize {
+    // window[k] = #{arrived j : recv(j) = a + k}, for k in 1..track.
+    let mut window = vec![0u32; row.len()];
+    let mut held = 0usize;
+    for &u in row.iter().filter(|&&u| u != NEVER) {
+        let k = u.saturating_sub(1).saturating_sub(a);
+        if k == 0 {
+            held += 1;
+        } else {
+            window[k as usize] += 1;
+        }
+    }
+    let mut peak = held;
+    let mut played = 0usize;
+    for k in 1..row.len() {
+        held += window[k] as usize;
+        played += usize::from(row[k - 1] != NEVER);
+        peak = peak.max(held - played);
+    }
+    peak
 }
 
 /// Result of playback analysis for one node.

@@ -1,10 +1,11 @@
 //! Zero-cost-off oracle for the telemetry layer: attaching a recorder
 //! must never perturb a simulation. For every scheme family and every
 //! engine (reference slot simulator, fast slot engine, slot-faithful
-//! DES on both the heap and timing-wheel event queues) the
-//! [`RunResult`] of an instrumented run is compared **field for field**
-//! against the bare run, and the recorder is checked to have actually
-//! observed the run (so the equivalence is not vacuous).
+//! DES on both the heap and timing-wheel event queues, mega engine with
+//! one and two shards) the [`RunResult`] of an instrumented run is
+//! compared **field for field** against the bare run, and the recorder
+//! is checked to have actually observed the run (so the equivalence is
+//! not vacuous).
 
 use clustream::prelude::*;
 use clustream::telemetry::names as tm;
@@ -41,7 +42,7 @@ fn run_both(
         1 => FastEngine::new()
             .run(scheme_for(family, n, d).as_mut(), cfg)
             .unwrap(),
-        e => DesEngine::new()
+        e @ (2 | 3) => DesEngine::new()
             .run(
                 scheme_for(family, n, d).as_mut(),
                 &DesConfig::slot_faithful(cfg.clone()).with_queue(if e == 2 {
@@ -50,6 +51,9 @@ fn run_both(
                     QueueKind::Wheel
                 }),
             )
+            .unwrap(),
+        e => MegaEngine::with_shards(e - 3)
+            .run(scheme_for(family, n, d).as_mut(), cfg)
             .unwrap(),
     };
 
@@ -69,7 +73,7 @@ proptest! {
     #[test]
     fn recorder_never_perturbs_a_run(
         family in 0usize..4,
-        engine in 0usize..4,
+        engine in 0usize..6,
         n in 1usize..60,
         d in 1usize..5,
         track in 4u64..32,
@@ -167,4 +171,40 @@ fn recorder_totals_agree_with_the_run_result() {
         snap.spans.contains_key(tm::ENGINE_RUN),
         "the whole run is timed under a span"
     );
+}
+
+/// Mega's analytic replay gear stays engaged with a recorder attached,
+/// and books exactly the metrics the fast engine books. The size is
+/// large enough for the steady table to reach the entry-outer gear.
+#[test]
+fn mega_keeps_its_analytic_gear_under_a_recorder() {
+    let scheme = || scheme_for(0, 2000, 3);
+    let bare_cfg = SimConfig::until_complete(256, 100_000);
+
+    let (fast_rec, tel) = MemoryRecorder::handle();
+    let fast = FastEngine::new()
+        .run(scheme().as_mut(), &bare_cfg.clone().with_telemetry(tel))
+        .unwrap();
+
+    let mut engine = MegaEngine::new();
+    let bare = engine.run(scheme().as_mut(), &bare_cfg).unwrap();
+    let bare_analytic = engine.analytic_slots();
+    let (mega_rec, tel) = MemoryRecorder::handle();
+    let on = engine
+        .run(scheme().as_mut(), &bare_cfg.clone().with_telemetry(tel))
+        .unwrap();
+
+    assert!(bare_analytic > 0, "the analytic gear did not engage");
+    assert_eq!(
+        engine.analytic_slots(),
+        bare_analytic,
+        "a recorder changed the gear"
+    );
+    assert!(diff_fields(&bare, &on).is_empty());
+    assert!(diff_fields(&fast, &on).is_empty());
+
+    let (f, m) = (fast_rec.snapshot(), mega_rec.snapshot());
+    assert_eq!(m.counters, f.counters);
+    assert_eq!(m.histograms, f.histograms);
+    assert!(m.counter(tm::ENGINE_DELIVERIES) > 0);
 }
