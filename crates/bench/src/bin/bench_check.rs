@@ -26,8 +26,8 @@
 
 use clustream_bench::suites::{
     des_queues, des_workloads, engine_workloads, recovery_tiers, recovery_trace_for,
-    run_recovery_tier, scale_workloads, DesReport, EngineReport, RecoveryReport, MIN_MEGA_SPEEDUP,
-    RECOVERY_RATES,
+    relaxed_config, relaxed_scheme, run_recovery_tier, run_relaxed, scale_workloads, DesReport,
+    EngineReport, RecoveryReport, MIN_MEGA_SPEEDUP, RECOVERY_RATES, RELAXED_WORKLOAD,
 };
 use clustream_bench::timing::{bench, bench_prepared};
 use clustream_des::{DesConfig, DesEngine};
@@ -175,6 +175,39 @@ fn check_des(c: &mut Checker, baseline: &DesReport) {
                     events as f64 / m_des.min().as_secs_f64(),
                 );
             }
+        }
+    }
+
+    // Relaxed rows: every counter exact, events/s floored.
+    let mut engine = DesEngine::new();
+    for queue in des_queues() {
+        let ctx = format!("des/{RELAXED_WORKLOAD}/{}", queue.label());
+        let Some(base) = baseline
+            .relaxed
+            .iter()
+            .find(|r| r.workload == RELAXED_WORKLOAD && r.queue == queue.label())
+        else {
+            c.fail(format!("{ctx}: no relaxed baseline row in BENCH_des.json"));
+            continue;
+        };
+        let cfg = relaxed_config(queue);
+        let got = run_relaxed(&mut engine, &cfg);
+        for ((field, b), (_, g)) in base.counters().into_iter().zip(got.counters()) {
+            c.exact(&ctx, field, b, g);
+        }
+        if c.timing {
+            let m = bench_prepared(
+                &format!("{RELAXED_WORKLOAD}_des_{}", queue.label()),
+                REDUCED_SAMPLES,
+                relaxed_scheme,
+                |mut s| engine.run(&mut s, &cfg).unwrap().slots_run,
+            );
+            c.floor(
+                &ctx,
+                "events_per_sec",
+                base.events_per_sec,
+                got.events as f64 / m.min().as_secs_f64(),
+            );
         }
     }
 

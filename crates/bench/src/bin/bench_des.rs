@@ -4,15 +4,21 @@
 //! introduce over the synchronous slot model.
 //!
 //! Every `(workload, queue)` cell is first checked field-by-field against
-//! the fast slot engine (the correctness anchor), then timed. The jitter
-//! table reuses `ext_jitter_sweep`: observed worst playback delay under
-//! uniform link jitter vs the Theorem 2 `h·d` bound. A machine-readable
-//! summary is written to `BENCH_des.json`.
+//! the fast slot engine (the correctness anchor), then timed. The relaxed
+//! rows run a churned, jittered `repair+nack` workload that no slot
+//! engine can replay; their anchor is the heap and wheel queues agreeing
+//! on every counter, and their timed region is the engine run alone. The
+//! jitter table reuses `ext_jitter_sweep`: observed worst playback delay
+//! under uniform link jitter vs the Theorem 2 `h·d` bound. A
+//! machine-readable summary is written to `BENCH_des.json`.
 
 use clustream_bench::ext_jitter_sweep;
 use clustream_bench::render_table;
-use clustream_bench::suites::{des_queues, des_workloads, DesReport, ThroughputRow};
-use clustream_bench::timing::bench;
+use clustream_bench::suites::{
+    des_queues, des_workloads, relaxed_config, relaxed_scheme, run_relaxed, DesReport, RelaxedRow,
+    ThroughputRow, RELAXED_SAMPLES, RELAXED_WORKLOAD,
+};
+use clustream_bench::timing::{bench, bench_prepared};
 use clustream_des::{DesConfig, DesEngine};
 use clustream_sim::{diff_fields, FastEngine, SimConfig};
 
@@ -103,6 +109,32 @@ fn main() {
     );
     println!("min wheel speedup over heap: {min_wheel_speedup:.2}x");
 
+    // Relaxed rows: the deferred-send / detection / NACK loop.
+    let mut relaxed: Vec<RelaxedRow> = Vec::new();
+    let mut engine = DesEngine::new();
+    for queue in des_queues() {
+        let cfg = relaxed_config(queue);
+        let mut row = run_relaxed(&mut engine, &cfg);
+        if let Some(heap) = relaxed.first() {
+            assert_eq!(heap.counters(), row.counters(), "queues disagree");
+        }
+        let m = bench_prepared(
+            &format!("{RELAXED_WORKLOAD}_des_{}", queue.label()),
+            RELAXED_SAMPLES,
+            relaxed_scheme,
+            |mut s| engine.run(&mut s, &cfg).unwrap().slots_run,
+        );
+        row.des_min_ns = m.min().as_nanos() as u64;
+        row.events_per_sec = row.events as f64 / m.min().as_secs_f64();
+        println!(
+            "{RELAXED_WORKLOAD} / {}: {} events, {:.0} events/s",
+            queue.label(),
+            row.events,
+            row.events_per_sec
+        );
+        relaxed.push(row);
+    }
+
     // Jitter sweep: how far observed delay drifts past Theorem 2's
     // synchronous-model bound as link jitter grows.
     let jitter_sweep = ext_jitter_sweep(500, 3, &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0], 48, 1);
@@ -140,6 +172,7 @@ fn main() {
         threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         throughput,
         min_wheel_speedup,
+        relaxed,
         jitter_sweep,
     };
     let json = serde_json::to_string_pretty(&report).expect("serializable");

@@ -12,7 +12,7 @@
 
 use clustream_baselines::ChainScheme;
 use clustream_core::Scheme;
-use clustream_des::{DesConfig, DesEngine, QueueKind, TICKS_PER_SLOT};
+use clustream_des::{DesConfig, DesEngine, LatencyModel, QueueKind, TICKS_PER_SLOT};
 use clustream_hypercube::HypercubeStream;
 use clustream_multitree::{greedy_forest, Construction, MultiTreeScheme, StreamMode};
 use clustream_recovery::{RecoveryConfig, SelfHealingMultiTree};
@@ -248,6 +248,115 @@ pub fn des_queues() -> [QueueKind; 2] {
     [QueueKind::Heap, QueueKind::Wheel]
 }
 
+/// The relaxed DES rows' workload: the shape of perfbench's `des_churn`
+/// (uniform jitter of half a slot, `repair+nack`, per-slot leave rate
+/// 0.0005 over 400 slots, latency and churn seeded alike) at n = 1000.
+/// Every strict row is slot-faithful; this one times the deferred-send,
+/// detection and NACK loop that takes almost all of a churned run.
+pub const RELAXED_WORKLOAD: &str = "churn_multitree_n1000_d3_track64_jitter0.5_repair_nack";
+/// Timing samples of a relaxed row for the full bench run.
+pub const RELAXED_SAMPLES: usize = 5;
+const RELAXED_N: usize = 1000;
+const RELAXED_HORIZON: u64 = 400;
+const RELAXED_SEED: u64 = 8;
+
+/// The relaxed workload's configuration on `queue`.
+pub fn relaxed_config(queue: QueueKind) -> DesConfig {
+    let trace = ChurnTrace::generate(ChurnTraceConfig {
+        initial_members: RELAXED_N,
+        slots: RELAXED_HORIZON,
+        join_rate: 0.0,
+        leave_rate: 0.0005,
+        rejoin_rate: 0.0,
+        seed: RELAXED_SEED,
+    });
+    DesConfig::slot_faithful(SimConfig::until_complete(64, RELAXED_HORIZON))
+        .with_latency(LatencyModel::UniformJitter { jitter: 0.5 })
+        .seeded(RELAXED_SEED)
+        .with_recovery(RecoveryConfig::repair_nack())
+        .with_queue(queue)
+        .with_churn(trace)
+}
+
+/// A fresh self-healing scheme for the relaxed workload (recovery
+/// repairs it in place, so every run needs its own).
+pub fn relaxed_scheme() -> SelfHealingMultiTree {
+    SelfHealingMultiTree::new(RELAXED_N, 3, StreamMode::PreRecorded, Construction::Greedy)
+        .expect("valid relaxed workload")
+}
+
+/// Run the relaxed workload once on `engine` and record every
+/// deterministic counter; the timing fields are left at zero for the
+/// caller to fill.
+pub fn run_relaxed(engine: &mut DesEngine, cfg: &DesConfig) -> RelaxedRow {
+    let r = engine.run(&mut relaxed_scheme(), cfg).expect("relaxed run");
+    let s = *engine.stats();
+    let res = r.resilience.unwrap_or_default();
+    RelaxedRow {
+        workload: RELAXED_WORKLOAD.to_string(),
+        queue: cfg.queue.label().to_string(),
+        slots_run: r.slots_run,
+        transmissions: r.total_transmissions,
+        events: s.events_processed,
+        deferred_sends: s.deferred_sends,
+        released_sends: s.released_sends,
+        missing_packets: r.loss.as_ref().map_or(0, |l| l.total_missing()) as u64,
+        failures_detected: res.failures_detected,
+        repairs_committed: res.repairs_committed,
+        nacks_sent: res.nacks_sent,
+        retransmissions: res.retransmissions,
+        repaired_packets: res.repaired_packets,
+        control_messages: res.control_messages,
+        samples: RELAXED_SAMPLES,
+        des_min_ns: 0,
+        events_per_sec: 0.0,
+    }
+}
+
+/// One relaxed DES `(workload, queue)` cell. Every field but the two
+/// timing ones is deterministic and compared exactly by `bench_check`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RelaxedRow {
+    pub workload: String,
+    pub queue: String,
+    pub slots_run: u64,
+    pub transmissions: u64,
+    pub events: u64,
+    pub deferred_sends: u64,
+    pub released_sends: u64,
+    pub missing_packets: u64,
+    pub failures_detected: u64,
+    pub repairs_committed: u64,
+    pub nacks_sent: u64,
+    pub retransmissions: u64,
+    pub repaired_packets: u64,
+    pub control_messages: u64,
+    pub samples: usize,
+    /// Fastest engine-only run (scheme construction untimed).
+    pub des_min_ns: u64,
+    pub events_per_sec: f64,
+}
+
+impl RelaxedRow {
+    /// The deterministic counters, by name.
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
+        [
+            ("slots_run", self.slots_run),
+            ("transmissions", self.transmissions),
+            ("events", self.events),
+            ("deferred_sends", self.deferred_sends),
+            ("released_sends", self.released_sends),
+            ("missing_packets", self.missing_packets),
+            ("failures_detected", self.failures_detected),
+            ("repairs_committed", self.repairs_committed),
+            ("nacks_sent", self.nacks_sent),
+            ("retransmissions", self.retransmissions),
+            ("repaired_packets", self.repaired_packets),
+            ("control_messages", self.control_messages),
+        ]
+    }
+}
+
 /// One DES-suite `(workload, queue)` cell: event throughput vs the fast
 /// slot engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -275,6 +384,8 @@ pub struct DesReport {
     /// Smallest per-workload `heap_min_ns / wheel_min_ns` — the wheel's
     /// worst-case speedup over the heap across the suite.
     pub min_wheel_speedup: f64,
+    /// The relaxed-mode rows, one per queue ([`RELAXED_WORKLOAD`]).
+    pub relaxed: Vec<RelaxedRow>,
     pub jitter_sweep: Vec<crate::JitterRow>,
 }
 

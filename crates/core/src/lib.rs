@@ -17,15 +17,19 @@
 //!   when deciding what to send;
 //! * [`NodeQos`] / [`QosReport`] — per-node and aggregate quality-of-service
 //!   measurements (playback delay, buffer occupancy, neighbor counts);
-//! * [`CoreError`] — model-constraint violations.
+//! * [`CoreError`] — model-constraint violations;
+//! * [`collections`] — the hot-path point-lookup containers ([`SeqSet`],
+//!   [`FxHashMap`]) the engines and the recovery layer share.
 
 #![warn(missing_docs)]
 
+pub mod collections;
 pub mod error;
 pub mod ids;
 pub mod qos;
 pub mod scheme;
 
+pub use collections::{FxHashMap, FxHashSet, SeqSet};
 pub use error::CoreError;
 pub use ids::{NodeId, PacketId, Slot, SOURCE};
 pub use qos::{NodeQos, QosReport};

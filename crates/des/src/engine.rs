@@ -51,19 +51,28 @@
 //!    escalation; exhausted retries abandon the packet and record a
 //!    hiccup.
 //!
-//! All recovery state iterates over `BTreeMap`/`BTreeSet` only and draws
-//! randomness from a dedicated seeded stream, so recovery runs are fully
-//! deterministic and recovery-off runs are bit-identical to the
-//! fail-silent engine (enforced by `tests/des_differential.rs`).
+//! # Determinism
+//!
+//! The per-event state — packet holdings, the deferred-send map, fault
+//! taint, and every recovery structure (link freshness, gap status,
+//! repair buffers, crash ticks) — lives in hashed or dense containers
+//! ([`clustream_core::collections`]) that the loop touches by point
+//! lookup only, so their arbitrary internal order never reaches the
+//! output. The one map walked as a whole, the deferred sends left over
+//! at the end of the run, is drained and sorted by `(sender, packet)`
+//! before its attribution fixpoint. Recovery draws randomness from a
+//! dedicated seeded stream, so recovery runs are fully deterministic and
+//! recovery-off runs are bit-identical to the fail-silent engine
+//! (enforced by `tests/des_differential.rs`).
 
 use crate::config::{DesConfig, QueueKind};
 use crate::event::{EventKind, EventQueue, HeapQueue, TICKS_PER_SLOT};
-use crate::hot::{ArrivalRing, FxHashMap, SeqSet};
+use crate::hot::ArrivalRing;
 use crate::uplink::{UplinkGate, UplinkModel};
 use crate::wheel::{CheckedQueue, WheelQueue};
 use clustream_core::{
-    Availability, CoreError, MembershipEvent, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot,
-    StateView, Transmission, SOURCE,
+    Availability, CoreError, FxHashMap, MembershipEvent, NodeId, NodeQos, PacketId, QosReport,
+    Scheme, SeqSet, Slot, StateView, Transmission, SOURCE,
 };
 use clustream_recovery::{FailureDetector, NackManager, RepairBuffer, TimeoutVerdict};
 use clustream_sim::faults::{default_cause, FaultCause, FaultPlan, LossReport};
@@ -74,7 +83,6 @@ use clustream_telemetry::names as tm;
 use clustream_workloads::ResolvedChurnAction;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Counters describing one DES run (the bench denominators).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -295,9 +303,10 @@ impl DesEngine {
         // senders at the serialized gate.
         let class_caps: Option<Vec<usize>> = cfg.capacity_classes.as_ref().map(|p| p.assign(n_ids));
         // Relaxed mode: calendar entries waiting for their packet, keyed
-        // by (sender, packet). A BTreeMap so the end-of-run leftover
-        // attribution walks entries in a deterministic order.
-        let mut waiting: BTreeMap<(u32, u64), Vec<Transmission>> = BTreeMap::new();
+        // by (sender, packet). Point lookups only while the loop runs;
+        // the end-of-run leftover attribution sorts the drained entries
+        // by key, so it walks them in a deterministic order.
+        let mut waiting: FxHashMap<(u32, u64), Vec<Transmission>> = FxHashMap::default();
         let mut departed = vec![false; n_ids];
         // First cause that took out each (node, packet) copy; lookup-only
         // (never iterated), so a hash map keeps determinism.
@@ -323,7 +332,7 @@ impl DesEngine {
         let mut gap_scan: Vec<u64> = vec![0; n_ids];
         // Ground-truth crash ticks (from the churn trace / fault plan),
         // the recovery-latency baseline.
-        let mut crash_tick: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut crash_tick: FxHashMap<u32, u64> = FxHashMap::default();
         // Dedicated randomness for repair traffic so enabling recovery
         // never perturbs the main loss process.
         let mut rec_rng = ChaCha8Rng::seed_from_u64(rec.seed);
@@ -331,7 +340,7 @@ impl DesEngine {
         // Telemetry-only bookkeeping: first NACK send tick per open
         // (node, packet) chase, consumed when the repair lands to observe
         // the NACK round-trip. Never touched with telemetry off.
-        let mut nack_sent_tick: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        let mut nack_sent_tick: FxHashMap<(u32, u64), u64> = FxHashMap::default();
         if rec_on {
             if let Some(f) = &sim.faults {
                 for &(node, slot) in f.crashes.iter().chain(f.stop_crashes.iter()) {
@@ -933,14 +942,17 @@ impl DesEngine {
         // Calendar entries still waiting for a packet that never came are
         // downstream loss propagation, same as the slot engines count it.
         // Attribution chases chains (one leftover may be what starved the
-        // next) to a fixpoint over the deterministic BTreeMap order, then
-        // falls back to the plan's default cause.
+        // next) to a fixpoint over the entries in `(sender, packet)`
+        // order, then falls back to the plan's default cause.
         let fallback = sim
             .faults
             .as_ref()
             .map(default_cause)
             .unwrap_or(FaultCause::Crash);
-        let mut leftovers: Vec<Transmission> = waiting.into_values().flatten().collect();
+        let mut waiting: Vec<((u32, u64), Vec<Transmission>)> = waiting.into_iter().collect();
+        waiting.sort_unstable_by_key(|&(key, _)| key);
+        let mut leftovers: Vec<Transmission> =
+            waiting.into_iter().flat_map(|(_, txs)| txs).collect();
         loop {
             let mut progressed = false;
             let mut still_unknown = Vec::new();
@@ -1395,5 +1407,67 @@ mod tests {
         assert_eq!(s.events_processed, s.events_scheduled);
         assert!(s.sends > 0);
         assert!(s.deliveries > 0);
+    }
+
+    #[test]
+    fn leftover_attribution_walks_deferred_sends_in_key_order() {
+        // Node 1 loses every packet on the wire (recorded drops), node 2
+        // loses every packet to a crashed relay (node 3). For each packet
+        // g, both 1 and 2 are scheduled to forward it to Y_g, which is
+        // scheduled to forward it to Z_g; none of these sends ever
+        // leaves, so all three wait until the run ends. Y_g's copy
+        // inherits the cause of whichever of its two senders the
+        // fixpoint visits first. In `(sender, packet)` order that is
+        // always node 1, so every Y_g → Z_g leftover is a loss.
+        const K: u64 = 8;
+        struct Fork;
+        impl Scheme for Fork {
+            fn name(&self) -> String {
+                "fork".into()
+            }
+            fn num_receivers(&self) -> usize {
+                3 + 2 * K as usize
+            }
+            fn transmissions(
+                &mut self,
+                slot: Slot,
+                _: &dyn StateView,
+                out: &mut Vec<Transmission>,
+            ) {
+                let t = slot.t();
+                let y = |g: u64| NodeId(4 + 2 * g as u32);
+                if t < K {
+                    out.push(Transmission::local(SOURCE, NodeId(1), PacketId(t)));
+                    out.push(Transmission::local(SOURCE, NodeId(3), PacketId(t)));
+                } else if t == K + 2 {
+                    for g in 0..K {
+                        out.push(Transmission::local(NodeId(3), NodeId(2), PacketId(g)));
+                    }
+                } else if t == K + 3 {
+                    for g in 0..K {
+                        out.push(Transmission::local(NodeId(1), y(g), PacketId(g)));
+                        out.push(Transmission::local(NodeId(2), y(g), PacketId(g)));
+                        out.push(Transmission::local(y(g), NodeId(y(g).0 + 1), PacketId(g)));
+                    }
+                }
+            }
+        }
+        let mut recorded = crate::replay::RecordedLatencies::new();
+        for _ in 0..K {
+            recorded.push_drop(0, 1);
+        }
+        let cfg = DesConfig::slot_faithful(SimConfig::with_faults(
+            K,
+            K + 8,
+            clustream_sim::FaultPlan::crash(NodeId(3), 0),
+        ))
+        .with_recorded_latencies(recorded);
+        let r = DesEngine::new().run(&mut Fork, &cfg).unwrap();
+        let loss = r.loss.unwrap();
+        assert_eq!(loss.lost_in_flight, K);
+        assert_eq!(loss.crash_suppressed, K);
+        assert_eq!(loss.propagation_suppressed, 3 * K);
+        assert_eq!(loss.propagation_from_loss, 2 * K, "1 → Y_g and Y_g → Z_g");
+        assert_eq!(loss.propagation_from_crash, K, "2 → Y_g");
     }
 }

@@ -1,51 +1,8 @@
-//! Hot-path containers for the event loop: a growable per-node packet
-//! bitset and a non-cryptographic hasher for the engine's point-lookup
-//! maps.
+//! The strict-mode event loop's receive-capacity guard.
 //!
-//! Both replace `std` defaults that dominated the per-event profile:
-//! SipHash costs ~25ns per probe and the engine makes several probes per
-//! transmission, while packet possession is a dense predicate over a
-//! contiguous sequence space, for which a bitset is both smaller and
-//! branch-free. Neither structure is ever iterated, so determinism is
-//! untouched — every access is a point lookup keyed by values the
-//! simulation already ordered.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Dense set of packet sequence numbers held by one node.
-///
-/// Sequence numbers start at zero and grow with the schedule, so the
-/// word vector stays proportional to the newest packet seen — the same
-/// asymptotics as a hash set over a dense run, with a 64× smaller
-/// constant and no hashing.
-#[derive(Debug, Clone, Default)]
-pub struct SeqSet {
-    words: Vec<u64>,
-}
-
-impl SeqSet {
-    /// Whether `seq` is in the set.
-    #[inline]
-    pub fn contains(&self, seq: u64) -> bool {
-        let w = (seq >> 6) as usize;
-        w < self.words.len() && self.words[w] & (1 << (seq & 63)) != 0
-    }
-
-    /// Insert `seq`; returns `true` when it was newly inserted (the
-    /// `HashSet::insert` contract the duplicate counter relies on).
-    #[inline]
-    pub fn insert(&mut self, seq: u64) -> bool {
-        let w = (seq >> 6) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (seq & 63);
-        let newly = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        newly
-    }
-}
+//! The engine's other hot containers (the packet bitset and the fast
+//! hasher) are shared with the recovery layer and the slot engines, so
+//! they live in [`clustream_core::collections`].
 
 /// The strict-mode receive-capacity guard: at most one pending arrival
 /// per `(arrival slot, node)`.
@@ -132,70 +89,9 @@ impl ArrivalRing {
     }
 }
 
-/// Multiply-xor hasher (the FxHash construction) for the engine's
-/// integer-keyed maps. Not DoS-resistant — fine here, since every key is
-/// generated by the deterministic simulation itself.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-/// Knuth's multiplicative constant, as used by rustc's FxHash.
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `HashMap` with the fast hasher; used only for point lookups.
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seq_set_inserts_and_probes() {
-        let mut s = SeqSet::default();
-        assert!(!s.contains(0));
-        assert!(s.insert(0));
-        assert!(!s.insert(0), "second insert reports already-present");
-        assert!(s.contains(0));
-        assert!(!s.contains(63));
-        assert!(s.insert(63));
-        assert!(s.insert(64), "crosses a word boundary");
-        assert!(s.contains(64));
-        assert!(!s.contains(1000));
-        assert!(s.insert(1000));
-        assert!(s.contains(1000));
-    }
 
     #[test]
     fn arrival_ring_detects_same_slot_collisions() {
@@ -226,15 +122,5 @@ mod tests {
         for slot in 0..40 {
             assert_eq!(r.try_insert(slot, 1, slot + 100, 0), Err(slot));
         }
-    }
-
-    #[test]
-    fn fx_map_behaves_like_a_map() {
-        let mut m: FxHashMap<(u64, u32), u64> = FxHashMap::default();
-        assert!(m.insert((3, 7), 10).is_none());
-        assert_eq!(m.insert((3, 7), 11), Some(10));
-        assert_eq!(m.get(&(3, 7)), Some(&11));
-        assert_eq!(m.remove(&(3, 7)), Some(11));
-        assert!(!m.contains_key(&(3, 7)));
     }
 }

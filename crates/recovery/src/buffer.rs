@@ -6,15 +6,26 @@
 //! out of every candidate server's buffer, the requester's retries
 //! escalate to the source and, failing that, the packet is abandoned.
 
-use std::collections::{BTreeSet, VecDeque};
+use clustream_core::SeqSet;
+
+/// One node's window: a ring of at most `capacity` seqs in arrival
+/// order, plus the same contents as a bitset for O(1) membership.
+#[derive(Debug, Clone, Default)]
+struct Window {
+    /// Grows to `capacity`, then wraps: `ring[head]` is the oldest seq.
+    ring: Vec<u64>,
+    head: usize,
+    member: SeqSet,
+}
 
 /// FIFO repair buffers, one per node, each bounded to `capacity` packets.
+///
+/// The membership bitset spans the seqs a node has received, the same
+/// space as the engine's own per-node holdings, while the ring stays at
+/// `capacity` entries.
 #[derive(Debug, Clone)]
 pub struct RepairBuffer {
-    /// Insertion-ordered window per node.
-    fifo: Vec<VecDeque<u64>>,
-    /// Same contents with O(log n) membership.
-    member: Vec<BTreeSet<u64>>,
+    windows: Vec<Window>,
     capacity: usize,
 }
 
@@ -23,8 +34,7 @@ impl RepairBuffer {
     /// packets.
     pub fn new(n_ids: usize, capacity: usize) -> Self {
         RepairBuffer {
-            fifo: vec![VecDeque::new(); n_ids],
-            member: vec![BTreeSet::new(); n_ids],
+            windows: vec![Window::default(); n_ids],
             capacity,
         }
     }
@@ -32,23 +42,26 @@ impl RepairBuffer {
     /// Note that `node` received `seq`, evicting the oldest entry when
     /// full. Duplicate arrivals do not reshuffle the window.
     pub fn note(&mut self, node: u32, seq: u64) {
-        let (fifo, member) = (
-            &mut self.fifo[node as usize],
-            &mut self.member[node as usize],
-        );
-        if self.capacity == 0 || !member.insert(seq) {
+        let w = &mut self.windows[node as usize];
+        if self.capacity == 0 || !w.member.insert(seq) {
             return;
         }
-        fifo.push_back(seq);
-        if fifo.len() > self.capacity {
-            let evicted = fifo.pop_front().expect("nonempty");
-            member.remove(&evicted);
+        if w.ring.len() < self.capacity {
+            w.ring.push(seq);
+            return;
         }
+        let evicted = std::mem::replace(&mut w.ring[w.head], seq);
+        w.member.remove(evicted);
+        w.head = if w.head + 1 == self.capacity {
+            0
+        } else {
+            w.head + 1
+        };
     }
 
     /// Whether `node` can still serve `seq` from its repair buffer.
     pub fn contains(&self, node: u32, seq: u64) -> bool {
-        self.member[node as usize].contains(&seq)
+        self.windows[node as usize].member.contains(seq)
     }
 }
 
@@ -83,5 +96,20 @@ mod tests {
         let mut b = RepairBuffer::new(2, 0);
         b.note(0, 1);
         assert!(!b.contains(0, 1));
+    }
+
+    #[test]
+    fn ring_wraps_in_arrival_order() {
+        let mut b = RepairBuffer::new(1, 3);
+        for seq in 0..7 {
+            b.note(0, seq);
+        }
+        // 0..4 evicted oldest first; the last three survive the wraps.
+        assert!((0..4).all(|s| !b.contains(0, s)));
+        assert!((4..7).all(|s| b.contains(0, s)));
+        // An evicted seq re-noted is fresh again and evicts the oldest.
+        b.note(0, 1);
+        assert!(b.contains(0, 1));
+        assert!(!b.contains(0, 4));
     }
 }

@@ -8,10 +8,12 @@
 //! (one outstanding timer per link), so the detector adds O(live links)
 //! events, not O(deliveries).
 //!
-//! All state lives in `BTreeMap`/`BTreeSet`, keeping iteration — and
-//! therefore the DES — deterministic.
+//! All state lives in hashed maps and sets that are touched by point
+//! lookup only — `record` runs on every DES delivery — and never
+//! iterated, so their arbitrary internal order cannot reach the DES's
+//! output and runs stay deterministic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use clustream_core::{FxHashMap, FxHashSet};
 
 /// What a watcher should do when a link timeout fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,11 +31,11 @@ pub enum TimeoutVerdict {
 #[derive(Debug, Default, Clone)]
 pub struct FailureDetector {
     /// Last delivery tick per (watcher, subject) link.
-    last_heard: BTreeMap<(u32, u32), u64>,
+    last_heard: FxHashMap<(u32, u32), u64>,
     /// Distinct watchers currently suspecting each subject.
-    suspicions: BTreeMap<u32, BTreeSet<u32>>,
+    suspicions: FxHashMap<u32, FxHashSet<u32>>,
     /// Subjects whose failure has been confirmed.
-    confirmed: BTreeSet<u32>,
+    confirmed: FxHashSet<u32>,
     /// Distinct watchers needed to confirm.
     threshold: usize,
     /// Link silence horizon in ticks.

@@ -1,9 +1,13 @@
 //! NACK retransmission state: per-gap retry tracking and seeded
 //! exponential backoff.
+//!
+//! Gap status is a hashed point-lookup map, touched on every delivery
+//! and never iterated, so its order cannot reach a run's output.
 
+use clustream_core::FxHashMap;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
 /// Lifecycle of one NACKed gap packet at one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +24,7 @@ enum GapStatus {
 /// capped, jittered exponential backoff between retries.
 #[derive(Debug)]
 pub struct NackManager {
-    gaps: BTreeMap<(u32, u64), GapStatus>,
+    gaps: FxHashMap<(u32, u64), GapStatus>,
     base: u64,
     multiplier: f64,
     cap: u64,
@@ -33,7 +37,7 @@ impl NackManager {
     /// uniform jitter in `[0, jitter)` ticks drawn from `seed`.
     pub fn new(base: u64, multiplier: f64, cap: u64, jitter: u64, seed: u64) -> Self {
         NackManager {
-            gaps: BTreeMap::new(),
+            gaps: FxHashMap::default(),
             base: base.max(1),
             multiplier: multiplier.max(1.0),
             cap: cap.max(1),
@@ -45,11 +49,11 @@ impl NackManager {
     /// Open a gap; `false` if it is already tracked (in any state).
     pub fn open(&mut self, node: u32, seq: u64) -> bool {
         match self.gaps.entry((node, seq)) {
-            std::collections::btree_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert(GapStatus::Open);
                 true
             }
-            std::collections::btree_map::Entry::Occupied(_) => false,
+            Entry::Occupied(_) => false,
         }
     }
 

@@ -24,49 +24,16 @@
 use crate::engine::{RunResult, SimConfig};
 use crate::playback::ArrivalTable;
 use clustream_core::{
-    CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, Slot, StateView, Transmission,
+    CoreError, NodeId, NodeQos, PacketId, QosReport, Scheme, SeqSet, Slot, StateView, Transmission,
 };
 
 /// Sentinel for "no packet yet" in the dense newest-packet array.
 const NO_PACKET: u64 = u64::MAX;
 
-/// A growable bitset over packet sequence numbers. Shared with the
-/// mega engine (module [`crate::mega`]), which uses it as the per-node
-/// spill structure behind its columnar word arrays.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PacketSet {
-    pub(crate) words: Vec<u64>,
-}
-
-impl PacketSet {
-    /// Insert `seq`; returns `false` if it was already present.
-    #[inline]
-    pub(crate) fn insert(&mut self, seq: u64) -> bool {
-        let (w, b) = ((seq / 64) as usize, seq % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let mask = 1u64 << b;
-        let fresh = self.words[w] & mask == 0;
-        self.words[w] |= mask;
-        fresh
-    }
-
-    #[inline]
-    pub(crate) fn contains(&self, seq: u64) -> bool {
-        let (w, b) = ((seq / 64) as usize, seq % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.words.clear();
-    }
-}
-
 /// Dense per-run simulation state exposed to schemes through
 /// [`StateView`].
 struct FastState {
-    held: Vec<PacketSet>,
+    held: Vec<SeqSet>,
     /// Highest packet seq held per node; [`NO_PACKET`] = none.
     newest: Vec<u64>,
     slot: Slot,
@@ -328,7 +295,7 @@ impl FastEngine {
         for h in &mut self.state.held {
             h.clear();
         }
-        self.state.held.resize(n_ids, PacketSet::default());
+        self.state.held.resize(n_ids, SeqSet::default());
         self.state.held.truncate(n_ids);
         self.state.newest.clear();
         self.state.newest.resize(n_ids, NO_PACKET);
@@ -617,16 +584,6 @@ impl FastSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn packet_set_grows_and_dedups() {
-        let mut s = PacketSet::default();
-        assert!(s.insert(0));
-        assert!(!s.insert(0));
-        assert!(s.insert(1000));
-        assert!(s.contains(1000));
-        assert!(!s.contains(999));
-    }
 
     #[test]
     fn ring_guard_detects_collision() {

@@ -13,7 +13,7 @@
 //!    membership tests are single word operations, growth is one bulk
 //!    re-layout, and range-sharded workers can borrow disjoint row
 //!    windows with `split_at_mut`. Adversarial out-of-range sequence
-//!    numbers overflow into per-node `PacketSet` spill sets, keeping
+//!    numbers overflow into per-node `SeqSet` spill sets, keeping
 //!    memory behavior aligned with the fast engine.
 //! 2. **Precompiled flat transmission tables.** A scheme declaring
 //!    [`SchedulePeriod`] has its steady-state schedule lowered once
@@ -46,12 +46,12 @@
 //! mirrors [`crate::FastEngine`] operation for operation.
 
 use crate::engine::{RunResult, SimConfig};
-use crate::fast::{ArrivalRing, DenseTraffic, PacketSet};
+use crate::fast::{ArrivalRing, DenseTraffic};
 use crate::parallel::ClaimCounter;
 use crate::playback::{ArrivalTable, NEVER};
 use clustream_core::{
-    CoreError, NodeId, NodeQos, PacketId, QosReport, SchedulePeriod, Scheme, Slot, StateView,
-    Transmission,
+    CoreError, NodeId, NodeQos, PacketId, QosReport, SchedulePeriod, Scheme, SeqSet, Slot,
+    StateView, Transmission,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -74,7 +74,7 @@ struct ColumnarHeld {
     n_ids: usize,
     stride: usize,
     words: Vec<u64>,
-    spill: Vec<PacketSet>,
+    spill: Vec<SeqSet>,
 }
 
 impl ColumnarHeld {
@@ -108,7 +108,7 @@ impl ColumnarHeld {
         for s in &mut self.spill {
             s.clear();
         }
-        self.spill.resize(n_ids, PacketSet::default());
+        self.spill.resize(n_ids, SeqSet::default());
         self.spill.truncate(n_ids);
     }
 
@@ -139,7 +139,7 @@ impl ColumnarHeld {
         self.words = words;
         let (words, spill) = (&mut self.words, &mut self.spill);
         for (n, sp) in spill.iter_mut().enumerate() {
-            for (w, word) in sp.words.iter_mut().enumerate().take(new_stride) {
+            for (w, word) in sp.words_mut().iter_mut().enumerate().take(new_stride) {
                 words[n * new_stride + w] |= *word;
                 *word = 0;
             }
@@ -566,7 +566,7 @@ fn last_needed_delivery(
 struct ShardSlices<'a> {
     start: usize,
     words: &'a mut [u64],
-    spill: &'a mut [PacketSet],
+    spill: &'a mut [SeqSet],
     rows: &'a mut [Vec<u64>],
     uploads: &'a mut [u64],
 }
@@ -1882,7 +1882,7 @@ mod tests {
         h.spill[1].insert(70);
         h.grow(2);
         assert!(h.contains(1, 70), "spilled bit must move into the columns");
-        assert!(h.spill[1].words.iter().all(|&w| w == 0));
+        assert!(!h.spill[1].contains(70), "the spill copy is cleared");
         assert!(!h.contains(0, 70));
     }
 

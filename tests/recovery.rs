@@ -253,3 +253,139 @@ fn recovery_off_knobs_are_inert() {
     let knobs = run_with_mode(n, d, track, horizon, &trace, inert);
     assert_eq!(diff_fields(&base, &knobs), Vec::<&str>::new());
 }
+
+/// Every counter the `clustream simulate` summary prints for a relaxed
+/// recovery run.
+#[derive(Debug, PartialEq)]
+struct ChurnGolden {
+    slots: u64,
+    transmissions: u64,
+    events: u64,
+    deferred: u64,
+    released: u64,
+    missing: u64,
+    missing_nodes: usize,
+    detected: u64,
+    repairs: u64,
+    displaced: u64,
+    nacks: u64,
+    retransmissions: u64,
+    repaired: u64,
+    abandoned: u64,
+    control_msgs: u64,
+    max_delay: u64,
+    /// `avg_delay` in hundredths of a slot, as the summary rounds it.
+    avg_delay_centi: u64,
+    max_buffer: usize,
+}
+
+/// The benchmark's asynchronous churn workload at n = 1000: uniform
+/// jitter of half a slot, `repair+nack`, per-slot leave rate 0.0005 over
+/// 400 slots, latency and churn seeded alike — the configuration
+/// `clustream simulate --runtime des --latency jitter --jitter 0.5
+/// --recovery repair+nack --churn-leave 0.0005 --churn-slots 400`
+/// builds.
+fn churn_golden(seed: u64, queue: QueueKind) -> ChurnGolden {
+    let (n, d, track, horizon) = (1000, 3, 64u64, 400u64);
+    let trace = ChurnTrace::generate(ChurnTraceConfig {
+        initial_members: n,
+        slots: horizon,
+        join_rate: 0.0,
+        leave_rate: 0.0005,
+        rejoin_rate: 0.0,
+        seed,
+    });
+    let cfg = DesConfig::slot_faithful(SimConfig::until_complete(track, horizon))
+        .with_latency(LatencyModel::UniformJitter { jitter: 0.5 })
+        .seeded(seed)
+        .with_recovery(RecoveryConfig::repair_nack())
+        .with_queue(queue)
+        .with_churn(trace);
+    let mut scheme =
+        SelfHealingMultiTree::new(n, d, StreamMode::PreRecorded, Construction::Greedy).unwrap();
+    let mut engine = DesEngine::new();
+    let r = engine.run(&mut scheme, &cfg).unwrap();
+    let s = *engine.stats();
+    let loss = r.loss.as_ref().unwrap();
+    let res = r.resilience.unwrap();
+    ChurnGolden {
+        slots: r.slots_run,
+        transmissions: r.total_transmissions,
+        events: s.events_processed,
+        deferred: s.deferred_sends,
+        released: s.released_sends,
+        missing: loss.total_missing() as u64,
+        missing_nodes: loss.missing.len(),
+        detected: res.failures_detected,
+        repairs: res.repairs_committed,
+        displaced: res.displaced_total,
+        nacks: res.nacks_sent,
+        retransmissions: res.retransmissions,
+        repaired: res.repaired_packets,
+        abandoned: res.abandoned_packets,
+        control_msgs: res.control_messages,
+        max_delay: r.qos.max_delay(),
+        avg_delay_centi: (r.qos.avg_delay() * 100.0).round() as u64,
+        max_buffer: r.qos.max_buffer(),
+    }
+}
+
+#[test]
+fn churned_recovery_runs_match_their_pinned_counters() {
+    // Computed with ordered-tree (`BTreeMap`/`BTreeSet`) recovery state.
+    // The hashed and dense containers must reproduce every counter, and
+    // the queue choice must not show.
+    let pinned = [
+        (
+            8,
+            ChurnGolden {
+                slots: 400,
+                transmissions: 283100,
+                events: 919126,
+                deferred: 197876,
+                released: 99334,
+                missing: 1404,
+                missing_nodes: 41,
+                detected: 48,
+                repairs: 48,
+                displaced: 15640,
+                nacks: 6557,
+                retransmissions: 5795,
+                repaired: 6548,
+                abandoned: 0,
+                control_msgs: 22751,
+                max_delay: 50,
+                avg_delay_centi: 2887,
+                max_buffer: 34,
+            },
+        ),
+        (
+            9,
+            ChurnGolden {
+                slots: 400,
+                transmissions: 280602,
+                events: 923150,
+                deferred: 201553,
+                released: 100106,
+                missing: 1270,
+                missing_nodes: 40,
+                detected: 46,
+                repairs: 46,
+                displaced: 14686,
+                nacks: 8519,
+                retransmissions: 7435,
+                repaired: 8511,
+                abandoned: 0,
+                control_msgs: 27024,
+                max_delay: 54,
+                avg_delay_centi: 2929,
+                max_buffer: 40,
+            },
+        ),
+    ];
+    for (seed, want) in pinned {
+        for queue in [QueueKind::Heap, QueueKind::Wheel] {
+            assert_eq!(churn_golden(seed, queue), want, "seed {seed}, {queue:?}");
+        }
+    }
+}
